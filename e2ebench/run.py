@@ -3,8 +3,8 @@
 
 Run from the root of a checkout:
 
-    python3 e2ebench/run.py --workload paper-day --seed 1 --seconds 15 --trace 0
-    python3 e2ebench/run.py --workload all --seed 1 --seconds 15
+    python3 e2ebench/run.py --workload paper-day --seed 1 --seconds 30 --trace 0
+    python3 e2ebench/run.py --workload all --seed 1 --seconds 30
 
 Builds the library and the benchmark from source into .bench_build/
 (CMake, the repository's default RelWithDebInfo settings), then runs one

@@ -49,12 +49,18 @@ struct ReadStats {
     std::size_t failed = 0;
     /// version_delta calls repeated because v - 1 had retired.
     std::size_t retries = 0;
+    /// Time spent reading: per reader the sum over its sessions, over
+    /// readers (which read at the same time) the longest.
     double wall_s = 0.0;
-    /// Lookups per second: per reader the median over 0.1 s slices,
-    /// summed over readers.
-    double rate = 0.0;
     std::map<std::string, std::vector<double>> latency_s;
+    /// Per reader and rotation step, the lookup latency p99.
+    std::vector<double> segment_lookup_p99_s;
 
+    /// Lookups per second over all readers.
+    double rate() const {
+        return wall_s > 0.0 ? static_cast<double>(ops) / wall_s : 0.0;
+    }
+    /// Adds a reader that read at the same time as these.
     void merge(const ReadStats& other);
 };
 
@@ -65,6 +71,8 @@ struct ReplayStats {
     double wall_s = 0.0;      ///< replay wall time of the timed windows
 
     std::vector<double> freshness_s;
+    /// Per unit and store, the median of its windows' freshness.
+    std::vector<double> unit_freshness_p50_s;
     std::map<Method, MethodTally> methods;
     /// FNV-1a over the first unit's published estimates.
     std::uint64_t digest = 0;
@@ -151,6 +159,9 @@ struct ReplayPlan {
     std::optional<std::size_t> threads;
     /// Run the benchmark's own layer probes (capture, push, acquire).
     bool layer_probes = false;
+    /// Measure lookups: serve-mixed always reads beside its writer; the
+    /// other workloads read their store between units when this is set.
+    bool reads = false;
 };
 
 class Workload {
@@ -164,9 +175,6 @@ class Workload {
     /// replacing any earlier set-up.  Returns {scenario_s, routing_s}.
     virtual std::pair<double, double> setup(unsigned seed) = 0;
     virtual ReplayStats replay(const ReplayPlan& plan) = 0;
-    /// Readers against the last replay's store, after the replay (the
-    /// serve-mixed workload reads during its replay instead).
-    virtual std::optional<ReadStats> read_probe(double seconds) = 0;
     /// The routing matrix the SpMV probe runs on.
     virtual const tme::linalg::SparseMatrix& routing() const = 0;
     /// Seconds to rebuild the workload's routing outside set-up, for

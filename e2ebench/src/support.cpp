@@ -1,5 +1,7 @@
 #include "support.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -7,6 +9,36 @@
 #include <numeric>
 
 namespace e2e {
+
+namespace {
+
+bool set_affinity(const std::vector<int>& cpus) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (int c : cpus) CPU_SET(c, &set);
+    return sched_setaffinity(0, sizeof set, &set) == 0;
+}
+
+}  // namespace
+
+CpuRotation::CpuRotation() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0) return;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &set)) cpus_.push_back(c);
+    }
+}
+
+void CpuRotation::pin(std::size_t slot, std::size_t step) const {
+    if (cpus_.size() < 2) return;
+    (void)set_affinity({cpus_[(slot + step) % cpus_.size()]});
+}
+
+void CpuRotation::release() const {
+    if (cpus_.size() < 2) return;
+    (void)set_affinity(cpus_);
+}
 
 double quantile(std::vector<double> values, double q) {
     if (values.empty()) return std::numeric_limits<double>::quiet_NaN();

@@ -1,6 +1,7 @@
 // Measurement helpers of the end-to-end benchmark: order statistics with
 // the "ten samples beyond" tail rule, an in-memory span recorder with
-// self-time analysis, and the FNV-1a digest over published estimates.
+// self-time analysis, the FNV-1a digest over published estimates, and
+// the CPU rotation that spreads a thread's run over every CPU.
 //
 // Nothing here links against the estimation library, so the helpers
 // are tested on their own (tests/support_test.cpp).
@@ -70,6 +71,30 @@ class Digest {
 
   private:
     std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+// ---------------------------------------------------------------- cpus
+
+/// Rotates threads over the CPUs the process may use.  On a shared or
+/// virtualised host the CPUs run at different speeds that drift over
+/// seconds, and the kernel keeps a busy thread on one CPU for a whole
+/// run, so a single-threaded hot path would measure whichever CPU it
+/// landed on.  Moving every thread to the next CPU at each step makes
+/// a run spend equal time on each.  Threads created by a pinned thread
+/// inherit its pin, so pin only threads that start no workers.
+class CpuRotation {
+  public:
+    /// Reads the calling thread's CPU set.
+    CpuRotation();
+    std::size_t size() const { return cpus_.size(); }
+    /// Pins the calling thread to CPU (slot + step) mod size().  A no-op
+    /// with fewer than two CPUs, or where the set cannot be changed.
+    void pin(std::size_t slot, std::size_t step) const;
+    /// Lets the calling thread run on every CPU of the set again.
+    void release() const;
+
+  private:
+    std::vector<int> cpus_;
 };
 
 // ---------------------------------------------------------------- spans

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <random>
 #include <stdexcept>
@@ -49,8 +50,10 @@ void ReadStats::merge(const ReadStats& o) {
     ops += o.ops;
     failed += o.failed;
     retries += o.retries;
-    rate += o.rate;
     wall_s = std::max(wall_s, o.wall_s);
+    segment_lookup_p99_s.insert(segment_lookup_p99_s.end(),
+                                o.segment_lookup_p99_s.begin(),
+                                o.segment_lookup_p99_s.end());
     for (const auto& [kind, v] : o.latency_s) {
         auto& dst = latency_s[kind];
         dst.insert(dst.end(), v.begin(), v.end());
@@ -223,6 +226,9 @@ std::uint64_t Channel::drain_unit(ReplayStats& out) {
     const std::uint64_t digest = digest_.value();
     digest_ = Digest{};
     out.windows += acc_.windows;
+    if (!acc_.freshness_s.empty()) {
+        out.unit_freshness_p50_s.push_back(quantile(acc_.freshness_s, 0.5));
+    }
     out.freshness_s.insert(out.freshness_s.end(), acc_.freshness_s.begin(),
                            acc_.freshness_s.end());
     for (const auto& [m, t] : acc_.methods) out.methods[m].merge(t);
@@ -242,43 +248,83 @@ namespace {
 /// reader memory stays flat however many queries a run makes.
 class Reservoir {
   public:
-    static constexpr std::size_t kCapacity = 1 << 15;
+    explicit Reservoir(std::size_t capacity = 1 << 15)
+        : capacity_(capacity) {}
     void add(double v, std::mt19937_64& rng) {
         ++seen_;
-        if (values_.size() < kCapacity) {
+        if (values_.size() < capacity_) {
             values_.push_back(v);
         } else {
             const std::uint64_t j = rng() % seen_;
-            if (j < kCapacity) values_[j] = v;
+            if (j < capacity_) values_[j] = v;
         }
     }
+    std::uint64_t seen() const { return seen_; }
     std::vector<double> take() { return std::move(values_); }
 
   private:
+    std::size_t capacity_;
     std::vector<double> values_;
     std::uint64_t seen_ = 0;
 };
 
-/// Lookup throughput is the median over slices of this length, so a
-/// stall of the host in one part of a run does not move it.
-constexpr double kReadSliceSeconds = 0.1;
+/// A reader checks for a new rotation step every this many lookups.
+constexpr std::size_t kStepCheckEvery = 64;
+/// Lookup latencies of one rotation step: sample size, and the fewest
+/// lookups whose p99 counts (ten beyond it).
+constexpr std::size_t kSegmentCapacity = 4096;
+constexpr std::uint64_t kMinSegmentLookups = 1000;
 
-void read_until_stopped(serve::EstimateStore& store, unsigned seed,
-                        const std::atomic<bool>& stop, ReadStats& out) {
+/// One reader's rng, latency samples and totals over a whole replay,
+/// which may read in several sessions.
+struct ReaderState {
+    explicit ReaderState(unsigned seed) : rng(seed) {}
+    std::mt19937_64 rng;
+    Reservoir lookup, latest, point, topk, delta;
+    Reservoir segment{kSegmentCapacity};  ///< lookups of the current step
+    ReadStats stats;
+
+    /// Ends the current step: its lookup p99 joins the stats.
+    void close_segment() {
+        if (segment.seen() >= kMinSegmentLookups) {
+            stats.segment_lookup_p99_s.push_back(
+                smoothed_quantile(segment.take(), 0.99));
+        }
+        segment = Reservoir(kSegmentCapacity);
+    }
+};
+
+/// The readers' shared rotation: reader t runs on CPU slot 1 + t, one
+/// step ahead of the writer's slot 0, and moves on when `step` does.
+struct ReaderRotation {
+    const CpuRotation* cpus = nullptr;
+    const std::atomic<std::size_t>* step = nullptr;
+    std::size_t slot = 0;
+};
+
+void read_until_stopped(serve::EstimateStore& store, ReaderState& st,
+                        const std::atomic<bool>& stop,
+                        const ReaderRotation& rot) {
     serve::Reader reader(store);
     while (store.head_version() < 2 &&
            !stop.load(std::memory_order_relaxed)) {
         std::this_thread::yield();
     }
-    std::mt19937_64 rng(seed);
-    Reservoir lookup_r, latest_r, point_r, topk_r, delta_r;
+    std::mt19937_64& rng = st.rng;
+    ReadStats& out = st.stats;
+    std::size_t step = rot.step->load(std::memory_order_relaxed);
+    rot.cpus->pin(rot.slot, step);
     const Clock::time_point begin = Clock::now();
-    Clock::time_point slice_start = begin;
-    std::size_t slice_ops = 0;
-    std::vector<double> slice_rates;
     // One lookup is what a client does per request: read the head
     // version, then query it.
     while (!stop.load(std::memory_order_relaxed)) {
+        if (out.ops % kStepCheckEvery == 0) {
+            const std::size_t now = rot.step->load(std::memory_order_relaxed);
+            if (now != step) {
+                st.close_segment();
+                rot.cpus->pin(rot.slot, step = now);
+            }
+        }
         const Clock::time_point t0 = Clock::now();
         const auto head = reader.latest();
         const Clock::time_point t1 = Clock::now();
@@ -295,10 +341,10 @@ void read_until_stopped(serve::EstimateStore& store, unsigned seed,
         Reservoir* kind = nullptr;
         if (pick < 16) {
             ok = serve::point(snap, m, rng() % snap.pair_count()).ok();
-            kind = &point_r;
+            kind = &st.point;
         } else if (pick < 19) {
             ok = serve::top_k(snap, m, 10).ok();
-            kind = &topk_r;
+            kind = &st.topk;
         } else {
             // Gravity runs in every window, so both versions serve it.  A
             // reader descheduled while `retention` newer versions were
@@ -312,89 +358,112 @@ void read_until_stopped(serve::EstimateStore& store, unsigned seed,
                 d = reader.version_delta(served.front().method, v - 1, v);
             }
             ok = d.ok();
-            kind = &delta_r;
+            kind = &st.delta;
         }
         const Clock::time_point t2 = Clock::now();
-        if (++slice_ops % 64 == 0) {
-            const double dt = seconds_between(slice_start, t2);
-            if (dt >= kReadSliceSeconds) {
-                slice_rates.push_back(static_cast<double>(slice_ops) / dt);
-                slice_start = t2;
-                slice_ops = 0;
-            }
-        }
         if (!ok) ++out.failed;
-        lookup_r.add(seconds_between(t0, t2), rng);
-        latest_r.add(seconds_between(t0, t1), rng);
+        st.lookup.add(seconds_between(t0, t2), rng);
+        st.segment.add(seconds_between(t0, t2), rng);
+        st.latest.add(seconds_between(t0, t1), rng);
         kind->add(seconds_between(t1, t2), rng);
     }
-    out.wall_s = seconds_between(begin, Clock::now());
-    out.rate = slice_rates.empty()
-                   ? static_cast<double>(out.ops) / out.wall_s
-                   : quantile(slice_rates, 0.5);
-    out.latency_s["lookup"] = lookup_r.take();
-    out.latency_s["latest"] = latest_r.take();
-    out.latency_s["point"] = point_r.take();
-    out.latency_s["topk"] = topk_r.take();
-    out.latency_s["delta"] = delta_r.take();
+    out.wall_s += seconds_between(begin, Clock::now());
+    st.close_segment();
 }
 
 /// Thread entry: a reader that throws (no free Reader handle, an
 /// allocation failure) counts as one failed lookup instead of ending
 /// the process.
-void reader_loop(serve::EstimateStore& store, unsigned seed,
-                 const std::atomic<bool>& stop, ReadStats& out) {
+void reader_loop(serve::EstimateStore& store, ReaderState& st,
+                 const std::atomic<bool>& stop, ReaderRotation rot) {
     try {
-        read_until_stopped(store, seed, stop, out);
+        read_until_stopped(store, st, stop, rot);
     } catch (const std::exception&) {
-        ++out.failed;
+        ++st.stats.failed;
     }
 }
 
-/// Three reader threads for the lifetime of the pool; finish() (or the
-/// destructor, on an exception path) stops and joins them.
+/// Readers move to the next CPUs this often during read_for().
+constexpr double kReadStepSeconds = 0.1;
+
+/// Three readers whose samples and totals last for a replay.  Each
+/// session (start() to stop(), or read_for()) runs them as threads
+/// against one store; the destructor stops a session an exception
+/// left open.  They rotate over the CPUs with the pool's step, and a
+/// writer beside them takes slot 0 of the same step.
 class ReaderPool {
   public:
     static constexpr unsigned kReaders = 3;
-    ReaderPool(serve::EstimateStore& store, unsigned seed)
-        : per_(kReaders) {
+    explicit ReaderPool(unsigned seed) {
         for (unsigned t = 0; t < kReaders; ++t) {
-            threads_.emplace_back(reader_loop, std::ref(store),
-                                  seed * 31u + t, std::cref(stop_),
-                                  std::ref(per_[t]));
+            states_.emplace_back(seed * 31u + t);
         }
     }
-    ~ReaderPool() { join(); }
+    ~ReaderPool() { stop(); }
     ReaderPool(const ReaderPool&) = delete;
     ReaderPool& operator=(const ReaderPool&) = delete;
 
-    ReadStats finish() {
-        join();
-        ReadStats all;
-        for (const ReadStats& r : per_) all.merge(r);
-        return all;
+    void start(serve::EstimateStore& store) {
+        stop_.store(false, std::memory_order_relaxed);
+        for (unsigned t = 0; t < kReaders; ++t) {
+            threads_.emplace_back(reader_loop, std::ref(store),
+                                  std::ref(states_[t]), std::cref(stop_),
+                                  ReaderRotation{&cpus_, &step_, 1 + t});
+        }
     }
-
-  private:
-    void join() {
+    void stop() {
         stop_.store(true, std::memory_order_relaxed);
         for (std::thread& t : threads_) {
             if (t.joinable()) t.join();
         }
+        threads_.clear();
     }
+    /// One session of `seconds` against a store nobody writes to: the
+    /// read path without a writer beside it.
+    void read_for(serve::EstimateStore& store, double seconds) {
+        start(store);
+        const Clock::time_point begin = Clock::now();
+        while (seconds_between(begin, Clock::now()) < seconds) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(kReadStepSeconds));
+            advance();
+        }
+        stop();
+    }
+
+    const CpuRotation& cpus() const { return cpus_; }
+    /// Moves the readers on to the next CPUs; returns the new step.
+    std::size_t advance() {
+        return step_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+
+    /// Every session's totals and latency samples; ends a running one.
+    ReadStats finish() {
+        stop();
+        ReadStats all;
+        for (ReaderState& st : states_) {
+            st.stats.latency_s["lookup"] = st.lookup.take();
+            st.stats.latency_s["latest"] = st.latest.take();
+            st.stats.latency_s["point"] = st.point.take();
+            st.stats.latency_s["topk"] = st.topk.take();
+            st.stats.latency_s["delta"] = st.delta.take();
+            all.merge(st.stats);
+        }
+        return all;
+    }
+
+  private:
+    const CpuRotation cpus_;
+    std::atomic<std::size_t> step_{0};
     std::atomic<bool> stop_{false};
-    std::vector<ReadStats> per_;
+    std::deque<ReaderState> states_;  // stable addresses for the threads
     std::vector<std::thread> threads_;
 };
 
-/// The three readers against a store nobody writes to any more: the
-/// read path without the writer serve-mixed runs beside it.
-ReadStats read_for(serve::EstimateStore& store, unsigned seed,
-                   double seconds) {
-    ReaderPool pool(store, seed);
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    return pool.finish();
-}
+/// Length of the read session after each unit of the workloads whose
+/// readers do not run beside the writer.  Sessions spread over the run
+/// see the host as the replay does, not as it is in one moment.
+constexpr double kReadSecondsPerUnit = 0.5;
 
 // ------------------------------------------------------------ helpers
 
@@ -527,6 +596,8 @@ class SliceWorkload final : public Workload {
         const tme::obs::HistogramSnapshot builds0 =
             cache_->build_latency().snapshot();
         std::size_t probe_acquires = 0;
+        std::optional<ReaderPool> readers;
+        if (plan.reads) readers.emplace(7);
 
         const Clock::time_point start = Clock::now();
         while (true) {
@@ -577,16 +648,16 @@ class SliceWorkload final : public Workload {
             }
             out.wall_s += seconds_between(timed_from, Clock::now());
             finish_unit(out, channel_->drain_unit(out));
+            if (readers) {
+                readers->read_for(channel_->store(), kReadSecondsPerUnit);
+            }
             if (seconds_between(start, Clock::now()) >= plan.seconds) break;
         }
+        if (readers) out.reads = readers->finish();
         out.reclaim_deferred = channel_->store().reclaim_deferred();
         add_cache_stats(out, *cache_, hits0 + probe_acquires, misses0,
                         builds0);
         return out;
-    }
-
-    std::optional<ReadStats> read_probe(double seconds) override {
-        return read_for(channel_->store(), 7, seconds);
     }
 
     double routing_probe() override {
@@ -647,6 +718,12 @@ std::unique_ptr<Workload> paper_day() {
     s.first = 138;
     s.last = 162;
     s.reroute_at = 150;
+    // A fresh engine's first solves are cold (the third window costs
+    // about twice a warm one); a running day pays that once, a run of
+    // units once per unit.  Untimed, they leave one slow window in 21,
+    // the reroute, so the tail percentile falls among the warm windows
+    // whatever the number of units, not on the edge between the two.
+    s.warmup = 3;
     s.build = [first = s.first, last = s.last](unsigned seed) {
         scenario::Scenario sc =
             scenario::make_scenario(scenario::Network::usa, 1);
@@ -751,7 +828,10 @@ class FleetWorkload final : public Workload {
         double wall_sum = 0.0;
         std::uint64_t submits = 0;
         double backpressure_s = 0.0;
+        std::optional<ReaderPool> readers;
+        if (plan.reads) readers.emplace(7);
         while (true) {
+            const Clock::time_point unit_start = Clock::now();
             // A unit is a fresh driver (so a fresh shared epoch cache)
             // and a fresh store per job; set-up built the first one.
             if (!fresh_) make_unit();
@@ -805,9 +885,13 @@ class FleetWorkload final : public Workload {
                               -1);
             }
             finish_unit(out, unit.value());
+            out.wall_s += seconds_between(unit_start, Clock::now());
+            if (readers) {
+                readers->read_for(channels_[0]->store(), kReadSecondsPerUnit);
+            }
             if (seconds_between(start, Clock::now()) >= plan.seconds) break;
         }
-        out.wall_s = seconds_between(start, Clock::now());
+        if (readers) out.reads = readers->finish();
         out.backpressure_s_per_submit =
             submits > 0 ? backpressure_s / static_cast<double>(submits)
                         : 0.0;
@@ -815,10 +899,6 @@ class FleetWorkload final : public Workload {
             wall_sum > 0.0 ? job_seconds_sum / (2.0 * wall_sum) : 0.0;
         if (plan.layer_probes) out.max_in_flight = pipeline_probe(out);
         return out;
-    }
-
-    std::optional<ReadStats> read_probe(double seconds) override {
-        return read_for(channels_[0]->store(), 7, seconds);
     }
 
   private:
@@ -908,11 +988,15 @@ class ServeMixedWorkload final : public Workload {
         ReplayStats out;
         if (!fresh_) channel_ = make_channel();
         fresh_ = false;
-        ReaderPool readers(channel_->store(), seed_);
+        ReaderPool readers(seed_);
+        readers.start(channel_->store());
         const Clock::time_point start = Clock::now();
         // Days back to back, each on a fresh engine publishing into the
-        // one store the readers query.
+        // one store the readers query.  The engine runs on this thread
+        // (threads=0), which moves to the next CPU with the readers at
+        // every day.
         while (true) {
+            readers.cpus().pin(0, readers.advance());
             std::unique_ptr<engine::OnlineEngine> eng =
                 engine_ ? std::move(engine_) : make_engine();
             eng->set_window_sink(channel_->sink());
@@ -927,13 +1011,10 @@ class ServeMixedWorkload final : public Workload {
             if (seconds_between(start, Clock::now()) >= plan.seconds) break;
         }
         out.wall_s = seconds_between(start, Clock::now());
+        readers.cpus().release();
         out.reads = readers.finish();
         out.reclaim_deferred = channel_->store().reclaim_deferred();
         return out;
-    }
-
-    std::optional<ReadStats> read_probe(double) override {
-        return std::nullopt;
     }
 
   private:

@@ -2,6 +2,7 @@
 #include "support.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cmath>
 #include <cstring>
@@ -157,6 +158,26 @@ TEST(Digest, SensitiveToBitsOrderAndLength) {
     split_b.add(std::vector<double>{1.0});
     split_b.add(std::vector<double>{2.0});
     EXPECT_NE(split_a.value(), split_b.value());
+}
+
+TEST(CpuRotation, PinsSlotPlusStepAndReleases) {
+    const e2e::CpuRotation cpus;
+    ASSERT_GE(cpus.size(), 1u);
+    if (cpus.size() < 2) GTEST_SKIP() << "one CPU: pin() is a no-op";
+    cpu_set_t all;
+    ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+    std::vector<int> ids;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &all)) ids.push_back(c);
+    }
+    for (std::size_t step = 0; step < 2 * ids.size(); ++step) {
+        cpus.pin(1, step);
+        EXPECT_EQ(sched_getcpu(), ids[(1 + step) % ids.size()]);
+    }
+    cpus.release();
+    cpu_set_t now;
+    ASSERT_EQ(sched_getaffinity(0, sizeof now, &now), 0);
+    EXPECT_TRUE(CPU_EQUAL(&now, &all));
 }
 
 }  // namespace
