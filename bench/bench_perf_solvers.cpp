@@ -18,43 +18,42 @@
 //     dense P x P Gram would be ~12.7 GB — there the CSR form is the
 //     only Gram that can be built at all, and it is.
 //
-//  3. Paper-scale equivalence (Europe / USA scenarios).  The fast paths
-//     must reproduce the pre-PR dense-path estimates: sparse vs
-//     densified Gram bitwise, the Bayesian estimator's virtual-shift +
-//     sparse-gradient solve vs the historical copy-shift-dense solve to
-//     1e-9, and Vardi's shared transformed Gram vs its self-derived one
-//     to 1e-9.  (The QP's sparse-E path is pinned bitwise against the
-//     dense path in tests/linalg/test_blocked_kernels.cpp.)  The
-//     Gram-free operator forms are gated bitwise here: operator Vardi
-//     (on-demand transformed-Gram columns) against the dense path, and
-//     operator Bayesian (factored passive-set NNLS over on-demand Gram
-//     columns) against the dense NNLS path.
+//  3. Paper-scale equivalence (Europe / USA scenarios).  Sparse vs
+//     densified Gram bitwise, and the Gram-free estimators against the
+//     dense references of tests/reference/dense_reference.hpp, which
+//     build R'R from R and run the dense solvers: Bayesian (factored
+//     passive-set NNLS over on-demand Gram columns) and Vardi
+//     (on-demand transformed-Gram columns) bitwise, and Bayesian
+//     against the historical copy-shift dense solve to 1e-9.  (The
+//     QP's sparse-E path is pinned bitwise against the dense path in
+//     tests/linalg/test_blocked_kernels.cpp.)
 //
 //  4. Projection / QP hot paths.  The sparse-aware Kruithof rewrite
 //     must beat the pre-PR loop >= 3x at 100 PoPs and agree to 1e-9;
 //     the flat IPF must be bit-for-bit the TrafficMatrix sweep; the
 //     operator-form entropy loop must be bit-for-bit the pre-PR solver
 //     and finish a 9900-pair window inside a wall-clock budget; and the
-//     factored fanout QP must reproduce the pre-PR dense-Hessian
-//     estimates on Europe/USA to 1e-9.
+//     operator fanout QP must reproduce the dense-Hessian QP on
+//     Europe/USA bitwise with the engine's window aggregates, and to
+//     1e-9 without them.
 //
 //  5. 200-PoP generated backbone.  Gravity, Kruithof, entropy,
-//     Bayesian (factored QP) and fanout (factored QP) all complete a
+//     Bayesian (operator QP) and fanout (operator QP) all complete a
 //     window, and the peak dense Matrix allocation stays orders of
-//     magnitude below the 12.7 GB pairs^2 Hessian/Gram that the
-//     factored paths eliminated.  Vardi joins through its operator
-//     form — the first scale at which the method exists at all (its
-//     dense transformed Gram would be those same 12.7 GB) — and a
-//     warm start from the cold solution must verify and return the
-//     same estimate to 1e-9.
+//     magnitude below the 12.7 GB pairs^2 Hessian/Gram that nothing
+//     builds.  Vardi joins through its on-demand Gram columns (its
+//     dense transformed Gram would be those same 12.7 GB), and a warm
+//     start from the cold solution must verify and return the same
+//     estimate to 1e-9.  Bayesian and fanout MRE against the generated
+//     truth are recorded (not gated).
 //
 //  7. 500-PoP Gram-free window (phase 6 is the contract-layer gate).
 //     Gravity, Kruithof, entropy, Bayesian (operator QP) and fanout
 //     (operator QP) complete a window at 249500 pairs with no
 //     pairs x pairs structure — dense or CSR — ever materialized
-//     (peak dense Matrix allocation < 10 MB), and the engine
-//     scheduler's default schedule finishes a full window without
-//     triggering the epoch's sparse or dense Gram.
+//     (peak dense Matrix allocation < 10 MB, the engine scheduler's
+//     default window included), and that schedule builds the epoch's
+//     routing transpose.
 //
 // Results land in BENCH_solvers.json next to BENCH_engine.json so the
 // perf trajectory stays machine-readable across PRs.
@@ -75,6 +74,7 @@
 #include "core/fanout.hpp"
 #include "core/gravity.hpp"
 #include "core/kruithof.hpp"
+#include "core/metrics.hpp"
 #include "core/vardi.hpp"
 #include "engine/epoch_cache.hpp"
 #include "engine/method.hpp"
@@ -87,6 +87,7 @@
 #include "linalg/qp.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/report.hpp"
+#include "reference/dense_reference.hpp"
 #include "routing/routing_matrix.hpp"
 #include "scenario/scenario.hpp"
 #include "topology/builders.hpp"
@@ -231,9 +232,8 @@ struct ScalePoint {
     bool gram_exact = false;
 };
 
-/// Pre-PR Bayesian estimate: materialized shifted Gram copy + dense
-/// dual refresh (the path core::bayesian_estimate used before the
-/// sparse-operator solve).
+/// Historical Bayesian estimate: materialized shifted Gram copy + dense
+/// dual refresh (no virtual shift, no sparse dual refresh).
 linalg::Vector bayesian_reference(const core::SnapshotProblem& problem,
                                   const linalg::Vector& prior,
                                   double regularization) {
@@ -644,7 +644,6 @@ int main(int argc, char** argv) {
     // ---- Phase 3: paper-scale estimator equivalence ------------------
     std::printf("\n[3] paper-scale estimator equivalence\n");
     double bayes_worst = 0.0;
-    double vardi_worst = 0.0;
     double vardi_operator_worst = 0.0;
     bool vardi_operator_bitwise = true;
     double bayes_operator_worst = 0.0;
@@ -659,105 +658,75 @@ int main(int argc, char** argv) {
             linalg::gram(sc.routing.to_dense());
         paper_gram_exact = paper_gram_exact && gram_exact;
 
+        // Gram-free estimators vs their dense references.  Both are
+        // bitwise by construction: the operator Bayesian (paper scale:
+        // pairs within the dense-KKT limit) runs the factored
+        // passive-set NNLS whose dual refresh and KKT rows reproduce
+        // the dense NNLS arithmetic term for term, and the operator
+        // Vardi generates transformed-Gram columns that replay the Gram
+        // kernels' accumulation order with the dense transform
+        // expression.
         const core::SnapshotProblem snap = sc.busy_snapshot();
         const linalg::Vector prior = core::gravity_estimate(snap);
         core::BayesianOptions bopt;
-        const linalg::Vector fast =
+        const linalg::Vector bayes_operator =
             core::bayesian_estimate(snap, prior, bopt);
-        const linalg::Vector reference =
-            bayesian_reference(snap, prior, bopt.regularization);
-        const double bdiff = vec_max_abs_diff(fast, reference);
+        const linalg::Vector bayes_dense =
+            reference::bayesian_dense(snap, prior, bopt.regularization);
+        bayes_operator_bitwise =
+            bayes_operator_bitwise && vec_bitwise(bayes_operator, bayes_dense);
+        bayes_operator_worst =
+            std::max(bayes_operator_worst,
+                     vec_max_abs_diff(bayes_operator, bayes_dense));
+        const double bdiff = vec_max_abs_diff(
+            bayes_operator,
+            bayesian_reference(snap, prior, bopt.regularization));
         bayes_worst = std::max(bayes_worst, bdiff);
 
-        // Vardi: self-derived transformed Gram vs the shared (epoch
-        // cache style) one built from the sparse Gram.
-        core::SeriesProblem series = sc.busy_series_window(12);
+        const core::SeriesProblem series = sc.busy_series_window(12);
         core::VardiOptions vopt;
-        const linalg::Vector self_derived =
-            core::vardi_estimate(series, vopt).lambda;
-        const linalg::Matrix g1 = linalg::gram_sparse(sc.routing);
-        linalg::Matrix transformed(g1.rows(), g1.cols(), 0.0);
-        for (std::size_t p = 0; p < g1.rows(); ++p) {
-            for (std::size_t q = 0; q < g1.cols(); ++q) {
-                const double v = g1(p, q);
-                if (v != 0.0) {
-                    transformed(p, q) =
-                        v + vopt.second_moment_weight * v * v;
-                }
-            }
-        }
-        core::VardiOptions shared = vopt;
-        shared.shared_transformed_gram = &transformed;
-        const linalg::Vector shared_result =
-            core::vardi_estimate(series, shared).lambda;
-        const double vdiff = vec_max_abs_diff(self_derived, shared_result);
-        vardi_worst = std::max(vardi_worst, vdiff);
-
-        // Gram-free operator forms vs the dense paths above.  Both are
-        // bitwise by construction: the operator Vardi generates
-        // transformed-Gram columns that replay the Gram kernels'
-        // accumulation order with the dense loop's transform
-        // expression, and the operator Bayesian (paper scale: pairs
-        // within the dense-KKT limit) runs the factored passive-set
-        // NNLS whose dual refresh and KKT rows reproduce the dense
-        // NNLS path's arithmetic term for term.
-        core::VardiOptions vop_op = vopt;
-        vop_op.operator_form = true;
         const linalg::Vector vardi_operator =
-            core::vardi_estimate(series, vop_op).lambda;
-        vardi_operator_bitwise =
-            vardi_operator_bitwise && vec_bitwise(vardi_operator,
-                                                  self_derived);
+            core::vardi_estimate(series, vopt).lambda;
+        const linalg::Vector vardi_dense =
+            reference::vardi_dense(series, vopt.second_moment_weight);
+        vardi_operator_bitwise = vardi_operator_bitwise &&
+                                 vec_bitwise(vardi_operator, vardi_dense);
         vardi_operator_worst =
             std::max(vardi_operator_worst,
-                     vec_max_abs_diff(vardi_operator, self_derived));
+                     vec_max_abs_diff(vardi_operator, vardi_dense));
 
-        core::BayesianOptions bop_op = bopt;
-        bop_op.operator_form = true;
-        const linalg::Vector bayes_operator =
-            core::bayesian_estimate(snap, prior, bop_op);
-        bayes_operator_bitwise =
-            bayes_operator_bitwise && vec_bitwise(bayes_operator, fast);
-        bayes_operator_worst = std::max(
-            bayes_operator_worst, vec_max_abs_diff(bayes_operator, fast));
-
-        std::printf("  %-6s gram exact=%s  bayesian |fast-ref| %.3g  "
-                    "vardi |self-shared| %.3g  operator bitwise: "
-                    "vardi=%s bayesian=%s\n",
+        std::printf("  %-6s gram exact=%s  bayesian |operator-copyshift| "
+                    "%.3g  operator-vs-dense bitwise: vardi=%s "
+                    "bayesian=%s\n",
                     sc.name.c_str(), gram_exact ? "yes" : "NO", bdiff,
-                    vdiff,
-                    vec_bitwise(vardi_operator, self_derived) ? "yes"
-                                                              : "NO",
-                    vec_bitwise(bayes_operator, fast) ? "yes" : "NO");
+                    vec_bitwise(vardi_operator, vardi_dense) ? "yes" : "NO",
+                    vec_bitwise(bayes_operator, bayes_dense) ? "yes"
+                                                             : "NO");
     }
     if (!paper_gram_exact) {
         fail("sparse Gram not bitwise on a paper routing matrix");
     }
     if (bayes_worst > 1e-9) {
-        fail("Bayesian fast path diverges from the pre-PR dense path "
+        fail("Bayesian diverges from the copy-shift dense solve "
              "(%.3g > 1e-9)",
              bayes_worst);
     }
-    if (vardi_worst > 1e-9) {
-        fail("Vardi shared transformed Gram diverges (%.3g > 1e-9)",
-             vardi_worst);
-    }
     if (!vardi_operator_bitwise) {
-        fail("operator-form Vardi is not bit-for-bit the dense path at "
-             "paper scale (max diff %.3g)",
+        fail("operator-form Vardi is not bit-for-bit the dense reference "
+             "at paper scale (max diff %.3g)",
              vardi_operator_worst);
     }
     if (!bayes_operator_bitwise) {
         fail("operator-form Bayesian is not bit-for-bit the dense NNLS "
-             "path at paper scale (max diff %.3g)",
+             "reference at paper scale (max diff %.3g)",
              bayes_operator_worst);
     }
 
     // ---- Phase 4: projection / QP hot paths --------------------------
-    // The matrix-free rewrites of this PR: flat/incremental Kruithof,
-    // the operator-form entropy loop, and the factored fanout QP — the
-    // last dense-in-pairs structures are gone, so every method below
-    // also runs at 200 PoPs.
+    // The matrix-free rewrites: flat/incremental Kruithof, the
+    // operator-form entropy loop, and the operator fanout QP — nothing
+    // dense-in-pairs is left, so every method below also runs at 200
+    // PoPs.
     std::printf("\n[4] projection & QP hot paths\n");
     double kruithof_ref_seconds = 0.0;
     double kruithof_fast_seconds = 0.0;
@@ -917,97 +886,33 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Paper-scale equivalence of the factored/operator rewrites: the
-    // fanout estimate through the factored QP (exact-LU gather regime)
-    // and the entropy estimate through the operator loop vs the pre-PR
-    // dense-path references.
+    // Paper-scale equivalence of the operator rewrites: the fanout
+    // estimate through the operator QP (exact-LU gather regime) and the
+    // entropy estimate through the operator loop vs their dense /
+    // pre-PR references.
     bool fanout_operator_bitwise = true;
     double fanout_operator_worst = 0.0;
     for (const scenario::Network network :
          {scenario::Network::europe, scenario::Network::usa}) {
         const scenario::Scenario sc = scenario::make_scenario(network);
         const core::SeriesProblem series = sc.busy_series_window(8);
-        const core::FanoutResult fanout_now = core::fanout_estimate(series);
-
-        // Pre-PR fanout: dense P x P weighted Hessian + dense-H QP.
-        const linalg::Matrix g1 = linalg::gram_sparse(sc.routing);
-        const std::size_t pairs = sc.routing.cols();
-        const std::size_t nodes = sc.topo.pop_count();
-        linalg::Matrix hd(pairs, pairs, 0.0);
-        linalg::Vector fd(pairs, 0.0);
-        std::vector<std::size_t> source_of(pairs);
-        linalg::Matrix e_dense(nodes, pairs, 0.0);
-        std::vector<linalg::Triplet> etrips;
-        for (std::size_t p = 0; p < pairs; ++p) {
-            source_of[p] = sc.topo.pair_nodes(p).first;
-            e_dense(source_of[p], p) = 1.0;
-            etrips.push_back({source_of[p], p, 1.0});
-        }
-        const linalg::SparseMatrix e_sparse(nodes, pairs,
-                                            std::move(etrips));
         const std::size_t window = series.loads.size();
-        for (std::size_t k = 0; k < window; ++k) {
-            linalg::Vector w(pairs, 0.0);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                w[p] = series.loads[k]
-                                   [sc.topo.ingress_link(source_of[p])];
-            }
-            const linalg::Vector rt =
-                sc.routing.multiply_transpose(series.loads[k]);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                fd[p] += w[p] * rt[p];
-                if (w[p] == 0.0) continue;
-                for (std::size_t q = 0; q < pairs; ++q) {
-                    if (g1(p, q) != 0.0) {
-                        hd(p, q) += w[p] * w[q] * g1(p, q);
-                    }
-                }
-            }
-        }
-        linalg::Vector mean_loads(sc.routing.rows(), 0.0);
-        for (const linalg::Vector& t : series.loads) {
-            linalg::axpy(1.0, t, mean_loads);
-        }
-        linalg::scale(1.0 / static_cast<double>(window), mean_loads);
-        double total_exit = 0.0;
-        for (std::size_t n2 = 0; n2 < nodes; ++n2) {
-            total_exit += mean_loads[sc.topo.egress_link(n2)];
-        }
-        double hmax = 0.0;
-        for (std::size_t p = 0; p < pairs; ++p) {
-            hmax = std::max(hmax, hd(p, p));
-        }
-        const double eps = 1e-3 * std::max(hmax, 1e-300);
-        for (std::size_t p = 0; p < pairs; ++p) {
-            const std::size_t dst = sc.topo.pair_nodes(p).second;
-            const double alpha_gravity =
-                total_exit > 0.0
-                    ? mean_loads[sc.topo.egress_link(dst)] / total_exit
-                    : 0.0;
-            hd(p, p) += eps;
-            fd[p] += eps * alpha_gravity;
-        }
-        linalg::EqQpNonnegOptions qp_opts;
-        qp_opts.equality_operator = &e_sparse;
-        const linalg::EqQpNonnegResult qp_ref = linalg::solve_eq_qp_nonneg(
-            hd, fd, e_dense, linalg::Vector(nodes, 1.0), qp_opts);
+
+        // Without window aggregates the operator's source-outer weights
+        // regroup the dense H's per-sample sums: agreement to 1e-9.
+        const core::FanoutResult fanout_now = core::fanout_estimate(series);
+        const linalg::EqQpNonnegResult qp_ref =
+            reference::fanout_dense(series);
         double fan_scale = 1.0;
-        double fan_diff = 0.0;
-        for (std::size_t p = 0; p < pairs; ++p) {
-            fan_scale = std::max(fan_scale, std::abs(qp_ref.x[p]));
-            fan_diff = std::max(
-                fan_diff, std::abs(fanout_now.fanouts[p] - qp_ref.x[p]));
-        }
+        for (double v : qp_ref.x) fan_scale = std::max(fan_scale, std::abs(v));
+        const double fan_diff = vec_max_abs_diff(fanout_now.fanouts, qp_ref.x);
         fanout_paper_rel_diff =
             std::max(fanout_paper_rel_diff, fan_diff / fan_scale);
 
-        // Gram-free operator fanout vs the factored CSR path, both
-        // consuming the SAME incremental window aggregates (the
-        // engine's configuration).  With aggregates the factored
-        // assembly reads H(p,q) = outer(src p, src q) * G1(p,q) —
-        // exactly the values the operator's on-demand KKT columns
-        // generate — so the dense-gather exact-LU regime at paper
-        // scale is bitwise.
+        // With the engine's incremental window aggregates the
+        // operator's on-demand KKT columns generate exactly the dense
+        // H(p, q) = outer(src p, src q) * G1(p, q), so the dense-gather
+        // exact-LU regime at paper scale is bitwise.
         engine::SlidingWindow agg_window(&sc.topo, &sc.routing, window,
                                          /*track_load_moments=*/false);
         for (std::size_t k = 0; k < window; ++k) {
@@ -1018,22 +923,18 @@ int main(int argc, char** argv) {
         aggs.source_outer = &agg_window.source_outer();
         aggs.weighted_rhs = &agg_window.weighted_rhs();
         aggs.mean_loads = &agg_mean;
-        core::FanoutOptions fo_factored;
-        fo_factored.aggregates = aggs;
         core::FanoutOptions fo_operator;
-        fo_operator.operator_form = true;
         fo_operator.aggregates = aggs;
-        const core::FanoutResult fan_factored =
-            core::fanout_estimate(series, fo_factored);
         const core::FanoutResult fan_operator =
             core::fanout_estimate(series, fo_operator);
-        fanout_operator_bitwise =
-            fanout_operator_bitwise &&
-            vec_bitwise(fan_operator.fanouts, fan_factored.fanouts);
+        const linalg::EqQpNonnegResult fan_dense =
+            reference::fanout_dense(series, aggs);
+        fanout_operator_bitwise = fanout_operator_bitwise &&
+                                  vec_bitwise(fan_operator.fanouts,
+                                              fan_dense.x);
         fanout_operator_worst =
             std::max(fanout_operator_worst,
-                     vec_max_abs_diff(fan_operator.fanouts,
-                                      fan_factored.fanouts));
+                     vec_max_abs_diff(fan_operator.fanouts, fan_dense.x));
 
         // Entropy: operator loop vs the pre-PR reference.
         const core::SnapshotProblem snap = sc.busy_snapshot();
@@ -1051,23 +952,22 @@ int main(int argc, char** argv) {
                 std::max(entropy_paper_diff,
                          std::abs(efast.s[p] - eref.s[p]) / escale);
         }
-        std::printf("  %-6s fanout factored-vs-dense rel |da| %.3g  "
-                    "operator-vs-factored bitwise=%s  "
-                    "entropy operator-vs-ref rel |ds| %.3g\n",
+        std::printf("  %-6s fanout operator-vs-dense rel |da| %.3g, with "
+                    "aggregates bitwise=%s  entropy operator-vs-ref rel "
+                    "|ds| %.3g\n",
                     sc.name.c_str(), fan_diff / fan_scale,
-                    vec_bitwise(fan_operator.fanouts, fan_factored.fanouts)
-                        ? "yes"
-                        : "NO",
+                    vec_bitwise(fan_operator.fanouts, fan_dense.x) ? "yes"
+                                                                   : "NO",
                     entropy_paper_diff);
     }
     if (fanout_paper_rel_diff > 1e-9) {
-        fail("factored fanout QP diverges from the pre-PR dense path "
+        fail("operator fanout QP diverges from the dense QP reference "
              "(rel %.3g > 1e-9)",
              fanout_paper_rel_diff);
     }
     if (!fanout_operator_bitwise) {
-        fail("operator-form fanout QP is not bit-for-bit the factored "
-             "CSR path under shared aggregates (max diff %.3g)",
+        fail("operator-form fanout QP is not bit-for-bit the dense QP "
+             "reference under shared aggregates (max diff %.3g)",
              fanout_operator_worst);
     }
     if (entropy_paper_diff > 1e-9) {
@@ -1082,11 +982,9 @@ int main(int argc, char** argv) {
     double p200_kruithof_seconds = 0.0;
     double p200_entropy_seconds = 0.0;
     double p200_bayesian_seconds = 0.0;
-    double p200_bayesian_factored_seconds = 0.0;
-    double p200_bayesian_operator_delta = 0.0;
+    double p200_bayesian_mre = 0.0;
     double p200_fanout_seconds = 0.0;
-    double p200_fanout_factored_seconds = 0.0;
-    double p200_fanout_operator_delta = 0.0;
+    double p200_fanout_mre = 0.0;
     double p200_vardi_seconds = 0.0;
     double p200_vardi_warm_rel_diff = 0.0;
     std::size_t p200_peak_alloc_bytes = 0;
@@ -1114,12 +1012,15 @@ int main(int argc, char** argv) {
         series.routing = &r;
         const linalg::Vector totals0 =
             traffic::node_totals_from_demands(topo.pop_count(), truth);
+        linalg::Vector window_truth(pairs, 0.0);  // mean demands
         for (std::size_t k = 0; k < window; ++k) {
             linalg::Vector totals = totals0;
             for (double& v : totals) v *= dist(rng);
-            series.loads.push_back(r.multiply(
-                traffic::demands_from_fanouts(topo.pop_count(), alpha,
-                                              totals)));
+            const linalg::Vector demands = traffic::demands_from_fanouts(
+                topo.pop_count(), alpha, totals);
+            linalg::axpy(1.0 / static_cast<double>(window), demands,
+                         window_truth);
+            series.loads.push_back(r.multiply(demands));
         }
 
         linalg::detail::reset_peak_matrix_allocation();
@@ -1167,39 +1068,23 @@ int main(int argc, char** argv) {
         std::printf("  entropy   %7.2fs (60 iters)\n",
                     p200_entropy_seconds);
 
-        // The CSR Gram both sparse-path methods share (the only Gram
-        // that exists at this scale).
-        const linalg::SparseMatrix gram = linalg::gram_sparse_csr(r);
-
-        // Bayesian and fanout default to the Gram-free operator path at
-        // this scale (the engine's configuration); the factored-CSR
-        // path runs once alongside as the reference, and the timing
-        // plus worst element delta land in BENCH_solvers.json so the
-        // two paths' agreement is tracked per run.
+        // Bayesian and fanout run the engine's Gram-free operator QP
+        // under capped CG / active-set rounds; their MRE against the
+        // generated truth (the snapshot's demands; the window's mean
+        // demands for fanout) lands in BENCH_solvers.json as the
+        // accuracy record at this scale.
         core::BayesianOptions bopt;
-        bopt.operator_form = true;
         bopt.qp.cg_max_iterations = 120;
         bopt.qp.max_active_set_rounds = 6;
         p200_bayesian_seconds = time_best(1, [&] {
             est = core::bayesian_estimate(snap, prior, bopt);
         });
         check_estimate("bayesian", est);
-        core::BayesianOptions bopt_csr;
-        bopt_csr.shared_sparse_gram = &gram;
-        bopt_csr.qp.cg_max_iterations = 120;
-        bopt_csr.qp.max_active_set_rounds = 6;
-        linalg::Vector bayes_csr;
-        p200_bayesian_factored_seconds = time_best(1, [&] {
-            bayes_csr = core::bayesian_estimate(snap, prior, bopt_csr);
-        });
-        p200_bayesian_operator_delta = vec_max_abs_diff(est, bayes_csr);
-        std::printf("  bayesian  %7.2fs (operator QP, cg<=120; factored "
-                    "CSR %.2fs, |delta| %.3g)\n",
-                    p200_bayesian_seconds, p200_bayesian_factored_seconds,
-                    p200_bayesian_operator_delta);
+        p200_bayesian_mre = core::mre_at_coverage(truth, est);
+        std::printf("  bayesian  %7.2fs (operator QP, cg<=120; MRE %.3f)\n",
+                    p200_bayesian_seconds, p200_bayesian_mre);
 
         core::FanoutOptions fopt;
-        fopt.operator_form = true;
         fopt.qp.cg_max_iterations = 150;
         // Round-count headroom, not extra work: the driver stops at
         // convergence, and how many rounds that takes shifts by one or
@@ -1216,34 +1101,21 @@ int main(int argc, char** argv) {
                  fanout_result.equality_violation);
             p200_ok = false;
         }
-        core::FanoutOptions fopt_csr;
-        fopt_csr.shared_sparse_gram = &gram;
-        fopt_csr.qp.cg_max_iterations = 150;
-        fopt_csr.qp.max_active_set_rounds = 12;
-        core::FanoutResult fanout_csr;
-        p200_fanout_factored_seconds = time_best(
-            1,
-            [&] { fanout_csr = core::fanout_estimate(series, fopt_csr); });
-        p200_fanout_operator_delta = vec_max_abs_diff(
-            fanout_result.mean_demands, fanout_csr.mean_demands);
+        p200_fanout_mre =
+            core::mre_at_coverage(window_truth, fanout_result.mean_demands);
         std::printf("  fanout    %7.2fs (operator QP, %zu rounds, %zu cg "
-                    "iters, eq viol %.2e; factored CSR %.2fs, |delta| "
-                    "%.3g)\n",
+                    "iters, eq viol %.2e; MRE %.3f)\n",
                     p200_fanout_seconds, fanout_result.qp_iterations,
                     fanout_result.qp_cg_iterations,
-                    fanout_result.equality_violation,
-                    p200_fanout_factored_seconds,
-                    p200_fanout_operator_delta);
+                    fanout_result.equality_violation, p200_fanout_mre);
 
-        // Vardi through the operator form: the first scale at which
-        // the method exists at all — its dense transformed Gram would
-        // be the same 12.7 GB the other methods already avoid.  The
+        // Vardi through on-demand Gram columns — its dense transformed
+        // Gram would be the same 12.7 GB the other methods avoid.  The
         // largest allocation it makes is the O(links^2) window
         // covariance (~11 MB), which is what the peak-allocation gate
         // below budgets for.  A warm start from the cold solution must
         // pass the dual check and land on the same estimate.
         core::VardiOptions vop;
-        vop.operator_form = true;
         core::VardiResult vardi_cold;
         p200_vardi_seconds = time_best(
             1, [&] { vardi_cold = core::vardi_estimate(series, vop); });
@@ -1377,18 +1249,17 @@ int main(int argc, char** argv) {
     }
 
     // ---- Phase 7: 500-PoP Gram-free window ---------------------------
-    // The Gram-free tentpole gate.  At 249500 pairs even the CSR Gram
-    // is a pairs-coupled structure nobody can afford per epoch; every
-    // method below runs off R and R' alone.  Two sub-gates:
+    // The Gram-free gate.  At 249500 pairs even the CSR Gram is a
+    // pairs-coupled structure nobody can afford per epoch; every method
+    // below runs off R and R' alone.  Two sub-gates:
     //   * five methods (gravity, Kruithof, entropy, Bayesian operator
     //     QP, fanout operator QP) complete a window inside the wall
-    //     budget with peak dense Matrix allocation < 10 MB — five
-    //     orders below the ~498 GB dense pairs^2 Gram;
+    //     budget;
     //   * the engine scheduler's default schedule (gravity + Bayesian +
-    //     fanout) finishes a full window on a cold routing epoch with
-    //     sparse_gram_built() and gram_built() still false — the
-    //     operator wiring, not luck, keeps the quadratic builds off
-    //     the steady-state path.
+    //     fanout) finishes a full window on a cold routing epoch and
+    //     builds the epoch's routing transpose.
+    // Across both, the peak dense Matrix allocation stays < 10 MB —
+    // five orders below the ~498 GB dense pairs^2 Gram.
     std::printf("\n[7] 500-PoP generated backbone (Gram-free window)\n");
     double p500_build_seconds = 0.0;
     double p500_gravity_seconds = 0.0;
@@ -1402,8 +1273,6 @@ int main(int argc, char** argv) {
     std::size_t p500_nnz = 0;
     std::size_t p500_peak_alloc_bytes = 0;
     std::size_t p500_total_alloc_bytes = 0;
-    bool p500_sparse_gram_built = true;
-    bool p500_gram_built = true;
     bool p500_transpose_built = false;
     const double p500_budget_seconds = 300.0;
     const std::size_t p500_peak_alloc_limit = 10u * 1000u * 1000u;
@@ -1497,7 +1366,6 @@ int main(int argc, char** argv) {
                     p500_entropy_seconds);
 
         core::BayesianOptions bopt;
-        bopt.operator_form = true;
         bopt.shared_routing_transpose = &rt;
         bopt.qp.cg_max_iterations = 120;
         bopt.qp.max_active_set_rounds = 6;
@@ -1509,7 +1377,6 @@ int main(int argc, char** argv) {
                     p500_bayesian_seconds);
 
         core::FanoutOptions fopt;
-        fopt.operator_form = true;
         fopt.shared_routing_transpose = &rt;
         fopt.qp.cg_max_iterations = 80;
         // 249500 nonneg variables need more block-pivoting rounds than
@@ -1544,9 +1411,7 @@ int main(int argc, char** argv) {
             p500_ok = false;
         }
 
-        // The scheduler's default schedule over a cold epoch: the
-        // operator wiring must leave both quadratic Gram builds
-        // untriggered after a full window.
+        // The scheduler's default schedule over a cold epoch.
         engine::RoutingEpochCache cache;
         const std::shared_ptr<const engine::RoutingEpoch> epoch =
             cache.acquire_shared(r);
@@ -1576,21 +1441,10 @@ int main(int argc, char** argv) {
                  wres.runs.size());
             p500_ok = false;
         }
-        p500_sparse_gram_built = epoch->sparse_gram_built();
-        p500_gram_built = epoch->gram_built();
         p500_transpose_built = epoch->routing_transpose_built();
-        std::printf("  scheduler %7.2fs (default schedule; sparse gram "
-                    "built=%s, dense gram built=%s, R' built=%s)\n",
+        std::printf("  scheduler %7.2fs (default schedule; R' built=%s)\n",
                     p500_scheduler_seconds,
-                    p500_sparse_gram_built ? "YES" : "no",
-                    p500_gram_built ? "YES" : "no",
                     p500_transpose_built ? "yes" : "NO");
-        if (p500_sparse_gram_built || p500_gram_built) {
-            fail("500-PoP default schedule triggered a pairs^2 Gram "
-                 "build (sparse=%d dense=%d)",
-                 p500_sparse_gram_built ? 1 : 0, p500_gram_built ? 1 : 0);
-            p500_ok = false;
-        }
         if (!p500_transpose_built) {
             fail("500-PoP default schedule never built the shared "
                  "routing transpose — the operator wiring is not "
@@ -1668,7 +1522,6 @@ int main(int argc, char** argv) {
     }
     report.set("gram_gate_speedup", gram_gate_speedup);
     report.set("bayesian_max_diff", bayes_worst);
-    report.set("vardi_max_diff", vardi_worst);
     report.set("paper_gram_exact", paper_gram_exact);
     report.set("kruithof_reference_seconds", kruithof_ref_seconds);
     report.set("kruithof_fast_seconds", kruithof_fast_seconds);
@@ -1693,14 +1546,9 @@ int main(int argc, char** argv) {
     report.set("p200_kruithof_seconds", p200_kruithof_seconds);
     report.set("p200_entropy_seconds", p200_entropy_seconds);
     report.set("p200_bayesian_seconds", p200_bayesian_seconds);
-    report.set("p200_bayesian_factored_seconds",
-               p200_bayesian_factored_seconds);
-    report.set("p200_bayesian_operator_delta",
-               p200_bayesian_operator_delta);
+    report.set("p200_bayesian_mre", p200_bayesian_mre);
     report.set("p200_fanout_seconds", p200_fanout_seconds);
-    report.set("p200_fanout_factored_seconds",
-               p200_fanout_factored_seconds);
-    report.set("p200_fanout_operator_delta", p200_fanout_operator_delta);
+    report.set("p200_fanout_mre", p200_fanout_mre);
     report.set("p200_vardi_seconds", p200_vardi_seconds);
     report.set("p200_vardi_warm_rel_diff", p200_vardi_warm_rel_diff);
     report.set("p200_peak_alloc_bytes", p200_peak_alloc_bytes);
@@ -1719,8 +1567,6 @@ int main(int argc, char** argv) {
     report.set("p500_budget_seconds", p500_budget_seconds);
     report.set("p500_peak_alloc_bytes", p500_peak_alloc_bytes);
     report.set("p500_total_alloc_bytes", p500_total_alloc_bytes);
-    report.set("p500_sparse_gram_built", p500_sparse_gram_built);
-    report.set("p500_gram_built", p500_gram_built);
     report.set("p500_routing_transpose_built", p500_transpose_built);
     report.set("p500_ok", p500_ok);
     report.set("contracts_compiled", check::contracts_compiled());

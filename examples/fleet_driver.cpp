@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
                         engine::method_name(method), mre);
         }
     }
-    std::printf("\nshared cache: every job reads the same per-epoch Gram "
-                "and derived data —\n%zu misses across %zu windows; the "
+    std::printf("\nshared cache: every job reads the same per-epoch "
+                "derived data —\n%zu misses across %zu windows; the "
                 "reroute job added its own epoch.\n",
                 report.cache_misses, report.total_windows);
     return 0;

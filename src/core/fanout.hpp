@@ -26,9 +26,8 @@ namespace tme::core {
 /// sum to one.  It depends only on the topology's pair enumeration (one
 /// row per source PoP, E(src(p), p) = 1), so the online engine builds
 /// it once per routing epoch and shares it across windows.  Held in
-/// CSR form only (one nonzero per column) — the factored QP iterates
-/// E's nonzeros directly, and the historical dense N x P copy (63 MB
-/// per epoch at 200 PoPs) bought nothing.
+/// CSR form only (one nonzero per column) — the operator QP iterates
+/// E's nonzeros directly.
 struct FanoutConstraints {
     std::vector<std::size_t> source_of;  ///< pair -> source PoP
     /// E in CSR form (pops x pairs, one nonzero per column).
@@ -72,30 +71,20 @@ struct FanoutOptions {
     /// solution among the near-optimal ones instead of an arbitrary
     /// vertex.  Set to 0 for the paper's pure formulation.
     double gravity_tiebreak_weight = 1e-3;
-    /// Optional precomputed sparse Gram R'R in CSR form (e.g. the
-    /// engine's per-epoch RoutingEpoch::sparse_gram()); MUST equal
-    /// gram_sparse_csr(*problem.routing).  The estimator's data term
-    /// is this structure with per-entry source weights — nothing
-    /// quadratic in the pair count is ever allocated, dense or
-    /// otherwise.  Not owned.
-    const linalg::SparseMatrix* shared_sparse_gram = nullptr;
     /// Optional precomputed equality-constraint structure; MUST equal
     /// FanoutConstraints::build(*problem.topo).  Not owned.
     const FanoutConstraints* shared_constraints = nullptr;
-    /// Gram-free solve: not even the CSR Gram R'R is built.  The QP's
-    /// data term H = sum_k W_k (R'R) W_k is supplied as an operator —
+    /// Optional precomputed CSR transpose of the routing matrix; MUST
+    /// equal linalg::transpose(*problem.routing) (the engine caches it
+    /// per routing epoch); derived on the fly when absent.  The QP is
+    /// solved Gram-free: not even the CSR Gram R'R is built.  Its data
+    /// term H = sum_k W_k (R'R) W_k is supplied as an operator —
     /// applies run per window sample through R and R' (O(nnz * window)
     /// per product), and KKT rows are generated on demand as
-    /// source-weighted Gram columns (linalg::gram_column).  The
-    /// generated values replay the weighted-CSR assembly bit-for-bit,
-    /// so exact-LU-regime solves match the factored path exactly; the
-    /// projected-CG regime agrees to solver precision.  When set,
-    /// shared_sparse_gram is ignored.
-    bool operator_form = false;
-    /// Optional precomputed CSR transpose of the routing matrix; MUST
-    /// equal linalg::transpose(*problem.routing).  Only read by the
-    /// operator_form path (the engine caches it per routing epoch);
-    /// derived on the fly when absent.  Not owned.
+    /// source-weighted Gram columns (linalg::gram_column).  With window
+    /// aggregates the generated values equal the dense H's entries, so
+    /// exact-LU-regime solves are bit-for-bit the dense QP; the
+    /// projected-CG regime agrees to solver precision.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
     /// Optional QP active-set warm start: the previous window's fanout
     /// vector (pair-indexed).  The QP verifies the seed's KKT
@@ -105,7 +94,7 @@ struct FanoutOptions {
     const linalg::Vector* warm_start = nullptr;
     /// Optional incremental window aggregates (see above).
     FanoutWindowAggregates aggregates;
-    /// Tuning knobs forwarded to the factored QP solve
+    /// Tuning knobs forwarded to the operator QP solve
     /// (dense-gather limit, projected-CG tolerance/cap).  The
     /// warm_start and equality_operator members are ignored — the
     /// estimator manages those itself.

@@ -60,9 +60,9 @@ linalg::Vector estimate_with_measured(const SnapshotProblem& problem,
 /// Cholesky factor of G_u + tau*I consumed by the factored estimate
 /// path below.  In the streaming setting the measured set and the
 /// routing stay fixed while load windows arrive every five minutes, so
-/// the engine caches this per routing epoch (see
-/// engine::RoutingEpoch::reduced_factor) and the per-window cost drops
-/// from an O(k^3) factorization to an O(k^2) pair of triangular solves.
+/// a caller can cache this per routing epoch (a ReducedFactorProvider)
+/// and the per-window cost drops from an O(k^3) factorization to an
+/// O(k^2) pair of triangular solves.
 struct ReducedFactor {
     std::vector<std::size_t> unknown;  ///< unmeasured pairs, ascending
     linalg::Matrix gram;               ///< R_u' R_u
@@ -88,8 +88,8 @@ struct ReducedFactor {
 };
 
 /// Source of (shared) reduced factorizations, keyed by the unmeasured
-/// pair set.  engine::RoutingEpoch supplies an implementation whose
-/// results are invalidated exactly when the routing epoch changes.
+/// pair set; an implementation must invalidate its results when the
+/// routing changes.
 using ReducedFactorProvider =
     std::function<std::shared_ptr<const ReducedFactor>(
         const std::vector<std::size_t>& unknown)>;

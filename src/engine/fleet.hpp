@@ -8,9 +8,9 @@
 // replays back to back.  The fleet driver instead runs the jobs on a
 // small worker pool: every engine keeps its own sliding window, warm
 // lineage and metrics (nothing estimation-relevant is shared between
-// scenarios), while R-derived data — the Gram, Vardi's transformed
-// Gram, fanout constraints — is built once per distinct routing epoch
-// in the shared cache and read by all engines.  Per-job results and
+// scenarios), while R-derived data — the routing transpose, fanout
+// constraints — is built once per distinct routing epoch in the shared
+// cache and read by all engines.  Per-job results and
 // metrics are aggregated into a FleetReport; bench_perf_engine gates
 // the fleet's aggregate window throughput against the serial baseline.
 #pragma once

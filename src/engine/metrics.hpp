@@ -195,9 +195,9 @@ struct EngineMetrics {
     /// Producer-side stalls: pipeline submit() blocked at depth, and
     /// ingest-queue push() blocked on a full queue.
     obs::LatencyHistogram backpressure_wait;
-    /// Routing-epoch derived-data build times (gram, vardi gram,
-    /// fanout constraints, reduced factor) observed via this engine's
-    /// cache — shared-cache caveat above applies.
+    /// Routing-epoch derived-data build times (routing transpose,
+    /// fanout constraints) observed via this engine's cache —
+    /// shared-cache caveat above applies.
     obs::LatencyHistogram epoch_build_latency;
     /// Pre-populated by the engine for every scheduled method; the map
     /// structure is immutable afterwards (only the atomic fields move).

@@ -218,11 +218,8 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             core::BayesianOptions opts = options.bayesian;
             opts.counters = &run.solver;
             opts.budget = &budget;
-            // Gram-free: the MAP system is solved through on-demand
-            // Gram columns / implicit A'A products off the epoch's
-            // cached R' — neither the dense nor the CSR Gram is ever
-            // triggered by the default schedule.
-            opts.operator_form = true;
+            // The MAP system is solved through on-demand Gram columns
+            // / implicit A'A products off the epoch's cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             if (warm_seed != nullptr) {
                 opts.warm_start = warm_seed;
@@ -241,11 +238,8 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             core::VardiOptions opts = options.vardi;
             opts.counters = &run.solver;
             opts.budget = &budget;
-            // Gram-free: columns of the transformed Gram
-            // G1 + w*(G1 .* G1) are generated on demand off the
-            // epoch's cached R' — the dense per-epoch transformed Gram
-            // is never built on the default schedule.
-            opts.operator_form = true;
+            // Columns of the transformed Gram G1 + w*(G1 .* G1) are
+            // generated on demand off the epoch's cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             opts.mean_loads = &ctx.mean_loads;
             opts.load_covariance = &ctx.covariance;
@@ -265,11 +259,9 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             core::FanoutOptions opts = options.fanout;
             opts.qp.counters = &run.solver;
             opts.qp.budget = &budget;
-            // Gram-free: the QP's data term is applied through R / R'
-            // per window sample and its KKT rows are generated on
-            // demand off the epoch's cached R' — not even the CSR Gram
-            // is materialized on the default schedule.
-            opts.operator_form = true;
+            // The QP's data term is applied through R / R' per window
+            // sample and its KKT rows are generated on demand off the
+            // epoch's cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             opts.shared_constraints =
                 &ctx.epoch->fanout_constraints(*ctx.series.topo);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
+#include "reference/dense_reference.hpp"
 #include "test_helpers.hpp"
 
 namespace tme::core {
@@ -107,56 +108,88 @@ TEST_P(BayesianMonotonicity, ResidualDecreasesWithRegularization) {
     }
 }
 
-TEST(Bayesian, SparseGramFactoredPathMatchesNnls) {
-    // The CSR-Gram factored-QP path must land on the NNLS path's
-    // minimizer: the MAP system is strictly convex, so the minimizer is
-    // unique and solver-independent.
+TEST(Bayesian, OperatorPathMatchesDenseReference) {
+    // At paper scale the Gram-free solve is the factored passive-set
+    // NNLS over on-demand Gram columns: bit-for-bit the dense NNLS over
+    // R'R, cold and warm-started.
     const SmallNetwork net = core::testing::europe_network();
     const SnapshotProblem snap = net.snapshot();
     linalg::Vector prior(net.truth.size(), 1.0);
-    const linalg::Vector dense_path = bayesian_estimate(snap, prior);
-
-    const linalg::SparseMatrix sparse_gram =
-        linalg::gram_sparse_csr(net.routing);
-    BayesianOptions options;
-    options.shared_sparse_gram = &sparse_gram;
-    const linalg::Vector sparse_path =
-        bayesian_estimate(snap, prior, options);
-    ASSERT_EQ(sparse_path.size(), dense_path.size());
-    double scale = 1.0;
-    for (double v : dense_path) scale = std::max(scale, v);
+    const BayesianOptions options;
+    const linalg::Vector dense_path =
+        reference::bayesian_dense(snap, prior, options.regularization);
+    const linalg::Vector operator_path = bayesian_estimate(snap, prior);
+    ASSERT_EQ(operator_path.size(), dense_path.size());
     for (std::size_t p = 0; p < dense_path.size(); ++p) {
-        EXPECT_NEAR(sparse_path[p], dense_path[p], 1e-9 * scale)
-            << "pair " << p;
+        EXPECT_EQ(operator_path[p], dense_path[p]) << "pair " << p;
     }
 
-    // Warm start through the factored path: same minimizer.
     BayesianOptions warm = options;
-    warm.warm_start = &sparse_path;
+    warm.warm_start = &operator_path;
     const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
+    const linalg::Vector warm_dense = reference::bayesian_dense(
+        snap, prior, options.regularization, &operator_path);
     for (std::size_t p = 0; p < dense_path.size(); ++p) {
-        EXPECT_NEAR(warm_path[p], dense_path[p], 1e-9 * scale);
+        EXPECT_EQ(warm_path[p], warm_dense[p]) << "pair " << p;
     }
 
-    // Dimension mismatch is rejected.
+    // Routing transpose of the wrong shape is rejected.
     const linalg::SparseMatrix wrong(3, 3, {});
     BayesianOptions bad;
-    bad.shared_sparse_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(bayesian_estimate(snap, prior, bad),
                  std::invalid_argument);
 }
 
-TEST(Bayesian, SparseGramForcedCgPathStaysClose) {
-    // dense_kkt_limit = 0 exercises the projected-CG branch even at
-    // paper scale; the strictly convex minimizer is unchanged.
+TEST(Bayesian, MapQpMatchesNnls) {
+    // The MAP normal system G + (1/lambda) I as a bound-constrained QP
+    // (the operator QP's shape above dense_kkt_limit), here over the
+    // CSR Gram in the QP's exact-LU regime: the system is strictly
+    // convex, so the QP lands on the NNLS minimizer to solver precision.
+    const SmallNetwork net = core::testing::europe_network();
+    const SnapshotProblem snap = net.snapshot();
+    linalg::Vector prior(net.truth.size(), 1.0);
+    const double lambda = BayesianOptions{}.regularization;
+    const linalg::Vector dense_path =
+        reference::bayesian_dense(snap, prior, lambda);
+
+    const linalg::SparseMatrix gram = linalg::gram_sparse_csr(net.routing);
+    const double w = 1.0 / lambda;
+    const linalg::Vector shift(net.truth.size(), w);
+    linalg::Vector rhs = net.routing.multiply_transpose(snap.loads);
+    for (std::size_t p = 0; p < rhs.size(); ++p) rhs[p] += w * prior[p];
+    const linalg::HessianOperator h = reference::csr_hessian(gram, &shift);
+    const linalg::EqQpNonnegResult qp = linalg::solve_eq_qp_nonneg_operator(
+        h, rhs, linalg::SparseMatrix(), {});
+    ASSERT_EQ(qp.x.size(), dense_path.size());
+    EXPECT_EQ(qp.cg_iterations, 0u);
+    double scale = 1.0;
+    for (double v : dense_path) scale = std::max(scale, v);
+    for (std::size_t p = 0; p < dense_path.size(); ++p) {
+        EXPECT_NEAR(qp.x[p], dense_path[p], 1e-9 * scale) << "pair " << p;
+    }
+
+    // Warm start through the QP: same minimizer.
+    linalg::EqQpNonnegOptions warm;
+    warm.warm_start = &qp.x;
+    const linalg::EqQpNonnegResult warm_qp =
+        linalg::solve_eq_qp_nonneg_operator(h, rhs, linalg::SparseMatrix(),
+                                            {}, warm);
+    for (std::size_t p = 0; p < dense_path.size(); ++p) {
+        EXPECT_NEAR(warm_qp.x[p], dense_path[p], 1e-9 * scale);
+    }
+}
+
+TEST(Bayesian, ForcedCgPathStaysClose) {
+    // dense_kkt_limit = 0 exercises the operator QP's projected-CG
+    // branch even at paper scale; the strictly convex minimizer is
+    // unchanged.
     const SmallNetwork net = tiny_network(3);
     const SnapshotProblem snap = net.snapshot();
     linalg::Vector prior(net.truth.size(), 1.0);
-    const linalg::Vector dense_path = bayesian_estimate(snap, prior);
-    const linalg::SparseMatrix sparse_gram =
-        linalg::gram_sparse_csr(net.routing);
+    const linalg::Vector dense_path =
+        reference::bayesian_dense(snap, prior, BayesianOptions{}.regularization);
     BayesianOptions options;
-    options.shared_sparse_gram = &sparse_gram;
     options.qp.dense_kkt_limit = 0;
     const linalg::Vector cg_path = bayesian_estimate(snap, prior, options);
     double scale = 1.0;

@@ -7,6 +7,7 @@
 #include "linalg/stats.hpp"
 
 #include "core/metrics.hpp"
+#include "reference/dense_reference.hpp"
 #include "test_helpers.hpp"
 #include "traffic/traffic_matrix.hpp"
 
@@ -142,31 +143,52 @@ TEST(Fanout, SharedConstraintsIdentical) {
     EXPECT_THROW(fanout_estimate(series, bad), std::invalid_argument);
 }
 
-TEST(Fanout, SharedSparseGramIdentical) {
+TEST(Fanout, OperatorPathMatchesDenseReference) {
     const SmallNetwork net = tiny_network(6);
     const SeriesProblem series = constant_fanout_series(net, 5, 13, nullptr);
-    const FanoutResult plain = fanout_estimate(series);
 
-    const linalg::SparseMatrix gram = linalg::gram_sparse_csr(net.routing);
+    // With window aggregates the on-demand KKT columns generate exactly
+    // the dense H's entries outer(src p, src q) * G1(p, q), so the
+    // exact-LU regime is bit-for-bit the dense QP.
+    const reference::FanoutAggregates aggregates(series);
     FanoutOptions options;
-    options.shared_sparse_gram = &gram;
-    const FanoutResult shared = fanout_estimate(series, options);
-    // Same Gram values, same deterministic QP path: bit-for-bit.
-    ASSERT_EQ(shared.fanouts.size(), plain.fanouts.size());
-    for (std::size_t p = 0; p < plain.fanouts.size(); ++p) {
-        EXPECT_EQ(shared.fanouts[p], plain.fanouts[p]);
+    options.aggregates = aggregates.view();
+    const FanoutResult with_aggregates = fanout_estimate(series, options);
+    const linalg::EqQpNonnegResult dense =
+        reference::fanout_dense(series, aggregates.view());
+    ASSERT_EQ(with_aggregates.fanouts.size(), dense.x.size());
+    for (std::size_t p = 0; p < dense.x.size(); ++p) {
+        EXPECT_EQ(with_aggregates.fanouts[p], dense.x[p]) << "pair " << p;
     }
+    EXPECT_EQ(with_aggregates.qp_iterations, dense.iterations);
+
+    // Without aggregates the window sums regroup (the dense H sums
+    // w_k[p] w_k[q] G1(p, q) per sample): same minimizer to solver
+    // precision.
+    const FanoutResult plain = fanout_estimate(series);
+    const linalg::EqQpNonnegResult dense_plain =
+        reference::fanout_dense(series);
+    for (std::size_t p = 0; p < dense_plain.x.size(); ++p) {
+        EXPECT_NEAR(plain.fanouts[p], dense_plain.x[p], 1e-9)
+            << "pair " << p;
+    }
+
+    // A shared routing transpose is the same input: bit-for-bit.
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
+    FanoutOptions shared;
+    shared.shared_routing_transpose = &rt;
+    EXPECT_EQ(fanout_estimate(series, shared).fanouts, plain.fanouts);
 
     const linalg::SparseMatrix wrong(2, 2, {});
     FanoutOptions bad;
-    bad.shared_sparse_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(fanout_estimate(series, bad), std::invalid_argument);
 }
 
 TEST(Fanout, ForcedCgQpPathStaysCloseToExact) {
-    // Routing the factored QP through the projected-CG branch (as a
-    // 100+ PoP backbone would) must reproduce the exact-LU fanouts to
-    // solver precision.
+    // Routing the QP through the projected-CG branch (as a 100+ PoP
+    // backbone would) must reproduce the exact-LU fanouts to solver
+    // precision.
     const SmallNetwork net = tiny_network(8);
     const SeriesProblem series = constant_fanout_series(net, 6, 7, nullptr);
     const FanoutResult exact = fanout_estimate(series);

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/metrics.hpp"
+#include "reference/dense_reference.hpp"
 #include "test_helpers.hpp"
 #include "traffic/generator.hpp"
 
@@ -114,7 +115,7 @@ TEST(Vardi, GramShortcutMatchesNaiveOnMiniProblem) {
     EXPECT_NEAR(res.lambda[1], 10.0, 2.5);
 }
 
-TEST(Vardi, SharedTransformedGramIdentical) {
+TEST(Vardi, OperatorPathMatchesDenseReference) {
     const SmallNetwork net = tiny_network(3);
     std::mt19937_64 rng(17);
     std::uniform_real_distribution<double> dist(0.8, 1.2);
@@ -126,30 +127,30 @@ TEST(Vardi, SharedTransformedGramIdentical) {
     }
     const SeriesProblem series = net.series(demands);
 
-    VardiOptions plain_options;
-    const VardiResult plain = vardi_estimate(series, plain_options);
-
-    // Transformed Gram built exactly as the engine's epoch cache does.
-    const double w = plain_options.second_moment_weight;
-    linalg::Matrix transformed = net.routing.gram();
-    for (std::size_t p = 0; p < transformed.rows(); ++p) {
-        for (std::size_t q = 0; q < transformed.cols(); ++q) {
-            const double g1 = transformed(p, q);
-            transformed(p, q) = g1 + w * g1 * g1;
+    // On-demand transformed-Gram columns replay the dense transform
+    // loop over the Gram kernels' values: bit-for-bit the dense NNLS.
+    for (const double w : {0.0, 0.01, 1.0}) {
+        VardiOptions options;
+        options.second_moment_weight = w;
+        const VardiResult operator_path = vardi_estimate(series, options);
+        const linalg::Vector dense_path = reference::vardi_dense(series, w);
+        ASSERT_EQ(operator_path.lambda.size(), dense_path.size());
+        for (std::size_t p = 0; p < dense_path.size(); ++p) {
+            EXPECT_EQ(operator_path.lambda[p], dense_path[p])
+                << "w " << w << " pair " << p;
         }
     }
-    VardiOptions options = plain_options;
-    options.shared_transformed_gram = &transformed;
-    const VardiResult shared = vardi_estimate(series, options);
-    // Same Gram values, same deterministic NNLS path: bit-for-bit.
-    ASSERT_EQ(shared.lambda.size(), plain.lambda.size());
-    for (std::size_t p = 0; p < plain.lambda.size(); ++p) {
-        EXPECT_EQ(shared.lambda[p], plain.lambda[p]);
-    }
 
-    const linalg::Matrix wrong(3, 3, 0.0);
+    // A shared routing transpose is the same input: same estimate.
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
+    VardiOptions shared;
+    shared.shared_routing_transpose = &rt;
+    EXPECT_EQ(vardi_estimate(series, shared).lambda,
+              vardi_estimate(series).lambda);
+
+    const linalg::SparseMatrix wrong(3, 3, {});
     VardiOptions bad;
-    bad.shared_transformed_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(vardi_estimate(series, bad), std::invalid_argument);
 }
 

@@ -27,7 +27,14 @@ TEST(RoutingFingerprint, ContentDetermined) {
               routing_fingerprint(rerouted));
 }
 
-TEST(RoutingEpochCache, HitMissAndGramCorrectness) {
+bool same_csr(const linalg::SparseMatrix& a, const linalg::SparseMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           a.row_offsets() == b.row_offsets() &&
+           a.column_indices() == b.column_indices() &&
+           a.values() == b.values();
+}
+
+TEST(RoutingEpochCache, HitMissAndTransposeCorrectness) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
 
@@ -35,52 +42,46 @@ TEST(RoutingEpochCache, HitMissAndGramCorrectness) {
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(first.fingerprint(), routing_fingerprint(net.routing));
-    // The cached Gram matrix is exactly R'R of the acquired matrix.
-    EXPECT_EQ(linalg::max_abs_diff(first.gram(), net.routing.gram()), 0.0);
+    // The cached transpose is exactly R' of the acquired matrix.
+    EXPECT_TRUE(same_csr(first.routing_transpose(),
+                         linalg::transpose(net.routing)));
 
     const RoutingEpoch& again = cache.acquire(net.routing);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(again.fingerprint(), first.fingerprint());
 
-    // A route change invalidates: a new epoch is built, and its Gram is
-    // the NEW matrix's Gram, never the stale one.
+    // A route change invalidates: a new epoch is built, and its
+    // transpose is the NEW matrix's, never the stale one.
     const linalg::SparseMatrix rerouted =
         core::perturbed_routing(net.topo, 0.9, 42);
     const RoutingEpoch& changed = cache.acquire(rerouted);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(changed.fingerprint(), routing_fingerprint(rerouted));
-    EXPECT_EQ(linalg::max_abs_diff(changed.gram(), rerouted.gram()), 0.0);
-    EXPECT_GT(linalg::max_abs_diff(changed.gram(), net.routing.gram()),
-              0.0);
+    EXPECT_TRUE(same_csr(changed.routing_transpose(),
+                         linalg::transpose(rerouted)));
+    EXPECT_FALSE(same_csr(changed.routing_transpose(),
+                          linalg::transpose(net.routing)));
 }
 
-// The dense Gram is lazy: engines scheduling only Gram-free methods
-// (gravity, Kruithof) or only the direct-measurement workflow must
-// never pay for a P x P matrix.
-TEST(RoutingEpochCache, GramIsLazy) {
+// The transpose is lazy: engines scheduling only gravity or Kruithof
+// never pay for it.
+TEST(RoutingEpochCache, TransposeIsLazy) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
     const RoutingEpoch& epoch = cache.acquire(net.routing);
-    EXPECT_FALSE(epoch.gram_built());
+    EXPECT_FALSE(epoch.routing_transpose_built());
+    EXPECT_EQ(epoch.derived_builds(), 0u);
     // The epoch's private routing copy is content-identical.
-    EXPECT_EQ(epoch.routing().nonzeros(), net.routing.nonzeros());
+    EXPECT_TRUE(same_csr(epoch.routing(), net.routing));
 
-    // The reduced factor builds from the sparse routing copy — still no
-    // dense Gram.
-    const std::vector<std::size_t> unknown = {0, 2, 5};
-    const auto factor = epoch.reduced_factor(unknown, 1e-3);
-    ASSERT_NE(factor, nullptr);
-    EXPECT_FALSE(epoch.gram_built());
-    // ... and matches the dense-Gram slice bitwise.
-    const core::ReducedFactor sliced =
-        core::ReducedFactor::slice(net.routing.gram(), unknown, 1e-3);
-    EXPECT_EQ(linalg::max_abs_diff(factor->gram, sliced.gram), 0.0);
-
-    // First gram() call builds; later calls return the same object.
-    const linalg::Matrix& g = epoch.gram();
-    EXPECT_TRUE(epoch.gram_built());
-    EXPECT_EQ(&epoch.gram(), &g);
-    EXPECT_EQ(linalg::max_abs_diff(g, net.routing.gram()), 0.0);
+    // First routing_transpose() call builds; later calls return the
+    // same object.
+    const linalg::SparseMatrix& rt = epoch.routing_transpose();
+    EXPECT_TRUE(epoch.routing_transpose_built());
+    EXPECT_EQ(epoch.derived_builds(), 1u);
+    EXPECT_EQ(&epoch.routing_transpose(), &rt);
+    EXPECT_EQ(epoch.derived_builds(), 1u);
+    EXPECT_EQ(cache.build_latency().count(), 1u);
 }
 
 TEST(RoutingEpochCache, FlapRecoveryAndEviction) {

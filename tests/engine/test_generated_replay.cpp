@@ -1,9 +1,8 @@
 // Generated-topology engine smoke test: a 100-PoP backbone (9900 OD
 // pairs) replayed through the online engine.  This is the scale the
-// sparse fast paths exist for — the test schedules only Gram-free
-// methods and asserts the epoch never materializes the ~0.8 GB dense
-// Gram, so it stays fast enough for the TSan lane (the engine label
-// puts it there).
+// sparse fast paths exist for — the test schedules only gravity and
+// asserts the epoch builds no derived data for it, so it stays fast
+// enough for the TSan lane (the engine label puts it there).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,7 +27,7 @@ TEST(GeneratedReplay, HundredPopSmoke) {
 
     EngineConfig engine_config;
     engine_config.window_size = 4;
-    // Gravity only: Gram-free AND cheap enough for the TSan lane.
+    // Gravity only: cheap enough for the TSan lane.
     // (Kruithof's sparse-aware rewrite now runs at this scale too —
     // bench_perf_solvers phase 5 covers it — but 500 MART sweeps per
     // window under TSan would still dominate this smoke test.)
@@ -54,10 +53,11 @@ TEST(GeneratedReplay, HundredPopSmoke) {
     for (const auto& [method, mre] : result.mean_mre) {
         EXPECT_TRUE(std::isfinite(mre)) << method_name(method);
     }
-    // Gram-free schedule on a generated backbone: the dense 9900^2 Gram
-    // must never have been built.  (Re-acquiring the same content is a
-    // cache hit that returns the engine's bound epoch.)
-    EXPECT_FALSE(engine.cache()->acquire_shared(sc.routing)->gram_built());
+    // A gravity-only schedule needs no derived epoch data: nothing was
+    // built.  (Re-acquiring the same content is a cache hit that
+    // returns the engine's bound epoch.)
+    EXPECT_EQ(engine.cache()->acquire_shared(sc.routing)->derived_builds(),
+              0u);
 }
 
 }  // namespace

@@ -95,23 +95,23 @@ TEST(WarmStart, BayesianSameEstimate) {
     EXPECT_LT(max_abs_diff(warm2, cold), 1e-9);
 }
 
-TEST(WarmStart, BayesianSharedGramIdentical) {
+TEST(WarmStart, BayesianSharedTransposeIdentical) {
     const SmallNetwork net = tiny_network();
     const core::SnapshotProblem snap = net.snapshot();
     const linalg::Vector prior = core::gravity_estimate(snap);
     const linalg::Vector plain = core::bayesian_estimate(snap, prior);
 
-    const linalg::Matrix gram = net.routing.gram();
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
     core::BayesianOptions options;
-    options.shared_gram = &gram;
+    options.shared_routing_transpose = &rt;
     const linalg::Vector shared =
         core::bayesian_estimate(snap, prior, options);
-    // Same Gram values, same deterministic active-set path: bit-for-bit.
+    // Same Gram columns, same deterministic active-set path: bit-for-bit.
     EXPECT_EQ(max_abs_diff(shared, plain), 0.0);
 
-    const linalg::Matrix wrong(3, 3, 0.0);
+    const linalg::SparseMatrix wrong(3, 3, {});
     core::BayesianOptions bad;
-    bad.shared_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(core::bayesian_estimate(snap, prior, bad),
                  std::invalid_argument);
 }

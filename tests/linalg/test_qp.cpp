@@ -5,6 +5,7 @@
 #include <cmath>
 #include <random>
 
+#include "reference/dense_reference.hpp"
 #include "routing/routing_matrix.hpp"
 #include "topology/builders.hpp"
 
@@ -256,7 +257,11 @@ TEST_P(EqQpNonnegScale, LargeLoadsDoNotBurnExtraRounds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EqQpNonnegScale,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// ---- Factored-Hessian solver -------------------------------------------
+// ---- Operator-Hessian solver on factored problems ------------------------
+//
+// H = A'A (sparse CSR) + diag(shift), handed to
+// solve_eq_qp_nonneg_operator through reference::csr_hessian (apply =
+// SpMV, column = row scatter) and pinned against the dense solver.
 
 /// Random factored problem H = A'A (sparse CSR) + diag(shift) with its
 /// dense twin, plus two disjoint sum constraints in both forms.
@@ -303,7 +308,7 @@ FactoredProblem make_factored_problem(unsigned seed, std::size_t n,
 class EqQpFactored : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(EqQpFactored, GatherPathBitwiseMatchesDense) {
-    // Below dense_kkt_limit the factored solver gathers the same KKT
+    // Below dense_kkt_limit the operator solver gathers the same KKT
     // doubles the dense solver assembles, so the whole active-set
     // trajectory — and the returned minimizer — must be bit-for-bit.
     const FactoredProblem p = make_factored_problem(GetParam(), 14, 0.05);
@@ -312,11 +317,9 @@ TEST_P(EqQpFactored, GatherPathBitwiseMatchesDense) {
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
 
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+    const HessianOperator h = reference::csr_hessian(p.gram, &p.shift);
     const EqQpNonnegResult fact =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d);
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d);
     ASSERT_TRUE(fact.converged);
     ASSERT_EQ(fact.x.size(), dense.x.size());
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
@@ -338,14 +341,12 @@ TEST_P(EqQpFactored, ProjectedCgMatchesDense) {
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
 
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+    const HessianOperator h = reference::csr_hessian(p.gram, &p.shift);
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
     opts.cg_tolerance = 1e-13;
     const EqQpNonnegResult fact =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts);
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, opts);
     ASSERT_TRUE(fact.converged);
     EXPECT_GT(fact.cg_iterations, 0u);
     // The CG path trades the last two digits of active-set resolution
@@ -361,19 +362,17 @@ TEST_P(EqQpFactored, ProjectedCgMatchesDense) {
 TEST_P(EqQpFactored, WarmStartOnCgPathReturnsSameMinimizer) {
     const FactoredProblem p = make_factored_problem(GetParam() + 90, 20,
                                                     0.4);
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+    const HessianOperator h = reference::csr_hessian(p.gram, &p.shift);
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
     const EqQpNonnegResult cold =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts);
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, opts);
     ASSERT_TRUE(cold.converged);
 
     EqQpNonnegOptions warm_opts = opts;
     warm_opts.warm_start = &cold.x;
     const EqQpNonnegResult warm =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, warm_opts);
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, warm_opts);
     ASSERT_TRUE(warm.converged);
     EXPECT_LE(warm.iterations, cold.iterations);
     const double scale = std::max(1.0, nrm_inf(cold.x));
@@ -392,18 +391,16 @@ TEST(EqQpFactoredEdge, NoEqualityReducesToBoundConstrainedSolve) {
     const FactoredProblem p = make_factored_problem(7, 12, 0.3);
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, Matrix(0, 12), {});
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+    const HessianOperator h = reference::csr_hessian(p.gram, &p.shift);
     const EqQpNonnegResult gather =
-        solve_eq_qp_nonneg_factored(h, p.f, SparseMatrix(), {});
+        solve_eq_qp_nonneg_operator(h, p.f, SparseMatrix(), {});
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
         EXPECT_EQ(gather.x[j], dense.x[j]) << "var " << j;
     }
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
     const EqQpNonnegResult cg =
-        solve_eq_qp_nonneg_factored(h, p.f, SparseMatrix(), {}, opts);
+        solve_eq_qp_nonneg_operator(h, p.f, SparseMatrix(), {}, opts);
     const double scale = std::max(1.0, nrm_inf(dense.x));
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
         EXPECT_NEAR(cg.x[j], dense.x[j], 1e-6 * scale) << "var " << j;
@@ -412,25 +409,29 @@ TEST(EqQpFactoredEdge, NoEqualityReducesToBoundConstrainedSolve) {
 
 TEST(EqQpFactoredEdge, Validation) {
     const FactoredProblem p = make_factored_problem(3, 10, 0.1);
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+    const HessianOperator h = reference::csr_hessian(p.gram, &p.shift);
     // f of the wrong length.
     EXPECT_THROW(
-        solve_eq_qp_nonneg_factored(h, Vector(3, 0.0), p.e_sparse, p.d),
+        solve_eq_qp_nonneg_operator(h, Vector(3, 0.0), p.e_sparse, p.d),
         std::invalid_argument);
     // Added diagonal of the wrong length.
     const Vector bad_diag(4, 1.0);
-    FactoredHessian bad = h;
+    HessianOperator bad = h;
     bad.diagonal = &bad_diag;
-    EXPECT_THROW(solve_eq_qp_nonneg_factored(bad, p.f, p.e_sparse, p.d),
+    EXPECT_THROW(solve_eq_qp_nonneg_operator(bad, p.f, p.e_sparse, p.d),
                  std::invalid_argument);
+    // A missing closure.
+    HessianOperator no_column = h;
+    no_column.column = nullptr;
+    EXPECT_THROW(
+        solve_eq_qp_nonneg_operator(no_column, p.f, p.e_sparse, p.d),
+        std::invalid_argument);
     // Warm-start seed of the wrong length.
     const Vector bad_seed(3, 1.0);
     EqQpNonnegOptions opts;
     opts.warm_start = &bad_seed;
     EXPECT_THROW(
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts),
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, opts),
         std::invalid_argument);
 }
 
@@ -492,14 +493,12 @@ TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
         f[p] += (dist(rng) - 0.7) * 0.05 * diag_mean;
     }
 
-    FactoredHessian h;
-    h.matrix = gv;
-    h.diagonal = &shift;
+    const HessianOperator h = reference::csr_hessian(g, &shift);
     EqQpNonnegOptions opts;
     opts.cg_tolerance = 1e-12;
     detail::reset_peak_matrix_allocation();
     const EqQpNonnegResult result =
-        solve_eq_qp_nonneg_factored(h, f, e, d, opts);
+        solve_eq_qp_nonneg_operator(h, f, e, d, opts);
     // 9900 free variables >> dense_kkt_limit: this must have gone
     // through the projected CG, and nothing close to a pairs x pairs
     // dense matrix may have been allocated along the way.
